@@ -13,9 +13,10 @@ Backends register themselves with :func:`register_backend`:
   oracle every other backend is diffed against);
 - ``fused``     — epilogue fusion, pooled scratch buffers, direct BLAS
   GEMMs and precomputed activation level tables;
-- ``compiled``  — the fused graph's glue ops rendered to C and built into
-  per-batch-size shared libraries (:mod:`repro.serve.codegen`); requires
-  a C compiler and resolves to ``fused`` (with a warning) without one.
+- ``compiled``  — the fused graph's glue ops rendered to C and built,
+  at load, into one shared library per graph that takes the batch size
+  at run time (:mod:`repro.serve.codegen`); requires a C compiler and
+  resolves to ``fused`` (with a warning) without one.
 
 Writing a new backend is three steps: subclass
 :class:`~repro.serve.backends.base.KernelBackend`, pick the graph passes it
@@ -117,6 +118,7 @@ def compile_graph(artifact: ServeArtifact, backend: str = DEFAULT_BACKEND,
         node.id: backend_obj.compile_node(node, graph, artifact, ctx)
         for node in graph.nodes if node.id != graph.input_id
     }
+    backend_obj.finish_graph(ctx)
     model = CompiledModel(
         artifact, graph, source_graph, kernels, backend_obj.name,
         pass_log=pass_log,

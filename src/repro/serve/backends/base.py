@@ -103,6 +103,11 @@ class KernelBackend:
                      artifact: ServeArtifact, ctx: ExecContext) -> Kernel:
         raise NotImplementedError
 
+    def finish_graph(self, ctx: ExecContext) -> None:
+        """Called once after every node is compiled, before the model is
+        verified: graph-wide preparation (the ``compiled`` backend builds
+        its native library here)."""
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 

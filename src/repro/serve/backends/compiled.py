@@ -3,9 +3,10 @@
 The fused backend's per-request cost is numpy dispatch on the non-GEMM
 glue: a conv is ~10 ufunc invocations (6-pass activation fake-quant,
 strided window gather, bias add, 4-pass batch-norm, ReLU). This backend
-renders that glue to C per (graph, batch size) — see
-:mod:`repro.serve.codegen` — so a conv becomes *two* native calls around
-one BLAS GEMM:
+renders that glue to C — one library per graph, built once when the
+graph finishes compiling, with the batch size passed at run time (see
+:mod:`repro.serve.codegen`) — so a conv becomes *two* native calls
+around one BLAS GEMM:
 
 - ``pre``:  fused activation-quant + zero-pad + im2col gather, written
   directly into the GEMM's column buffer in a single pass;
@@ -123,9 +124,8 @@ class CodegenConvKernel(_CodegenKernel):
     def _bind(self, n: int) -> tuple:
         bound = self._bound.get(n)
         if bound is None:
-            table = self.program.for_batch(n)
-            pre = table.get((self.node.id, "pre"))
-            post = table.get((self.node.id, "post"))
+            pre = self.program.function((self.node.id, "pre"))
+            post = self.program.function((self.node.id, "post"))
             k, p = self.kernel, self.oh * self.ow
             quant = final = None
             if self.depthwise:
@@ -167,37 +167,36 @@ class CodegenConvKernel(_CodegenKernel):
         x = self._contiguous(x)
         if self.depthwise:
             if quant is not None:
-                pre(x.ctypes.data, quant.ctypes.data, cols.ctypes.data)
+                pre(n, x.ctypes.data, quant.ctypes.data, cols.ctypes.data)
             else:
-                pre(x.ctypes.data, cols.ctypes.data)
+                pre(n, x.ctypes.data, cols.ctypes.data)
             np.matmul(cols, self.w3, out=out)
             if post is not None:
-                post(out.ctypes.data, final.ctypes.data)
+                post(n, out.ctypes.data, final.ctypes.data)
                 return final.reshape(n, self.cin, self.oh, self.ow)
             base = out.reshape(self.cin, n, self.oh, self.ow)
             return base.transpose(1, 0, 2, 3)
         if pre is not None:
-            pre(x.ctypes.data, cols.ctypes.data)
+            pre(n, x.ctypes.data, cols.ctypes.data)
             gemm_in = cols
         else:
             gemm_in = x.reshape(n, self.cin, self.oh * self.ow)
         np.matmul(self.w_mat, gemm_in, out=out)
         if post is not None:
-            post(out.ctypes.data)
+            post(n, out.ctypes.data)
         return out.reshape(n, self.oc, self.oh, self.ow)
 
 
 class CodegenLinearKernel(_CodegenKernel):
-    def __init__(self, node: IRNode, graph: Graph, ctx: ExecContext,
+    """Native pre/post around the row-stable GEMM, for any row count —
+    merged-time graphs feed ``n * T`` rows whatever the chunk width."""
+
+    def __init__(self, node: IRNode, ctx: ExecContext,
                  artifact: ServeArtifact, program: GraphProgram):
         super().__init__(node, ctx, program)
-        spec = node.spec
-        self.weight = decode_weight_record(artifact, spec["weight"])
+        self.weight = decode_weight_record(artifact, node.spec["weight"])
         self.wT = self.weight.T
-        producer = graph.node(node.inputs[0])
-        self.rows_per_request = (producer.output_shape[0]
-                                 if producer.merged_time else 1)
-        self.renderer = LinearRenderer(node, self.rows_per_request, artifact)
+        self.renderer = LinearRenderer(node, artifact)
         program.register(self.renderer)
         self._artifact = artifact
         self._fallback = None
@@ -206,9 +205,8 @@ class CodegenLinearKernel(_CodegenKernel):
     def _bind(self, rows: int) -> tuple:
         bound = self._bound.get(rows)
         if bound is None:
-            table = self.program.for_batch(rows // self.rows_per_request)
-            pre = table.get((self.node.id, "pre"))
-            post = table.get((self.node.id, "post"))
+            pre = self.program.function((self.node.id, "pre"))
+            post = self.program.function((self.node.id, "post"))
             xq = (self.ctx.scratch(f"cg.xq{self.node.id}",
                                    (rows, self.weight.shape[1]))
                   if pre is not None else None)
@@ -219,25 +217,23 @@ class CodegenLinearKernel(_CodegenKernel):
         return bound
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        if x.dtype != np.float32 or x.shape[0] % self.rows_per_request:
-            # Streamed chunks of a merged-time graph carry partial
-            # per-request row counts the native pre/post stages were
-            # never rendered for; the fused kernel is bit-identical, so
-            # those rows are served from it.
+        if x.dtype != np.float32:
+            # Off the native path, stay bit-exact on the fused kernel.
             if self._fallback is None:
                 self._fallback = FusedLinearKernel(self.node, self.ctx,
                                                    self._artifact)
             return self._fallback.run(x)
-        pre, post, xq, out = self._bind(x.shape[0])
+        rows = x.shape[0]
+        pre, post, xq, out = self._bind(rows)
         x = self._contiguous(x)
         if pre is not None:
-            pre(x.ctypes.data, xq.ctypes.data)
+            pre(rows, x.ctypes.data, xq.ctypes.data)
             x = xq
         # The reference's exact row-stable `x @ weight.T` on identical
         # values.
         row_stable_matmul(x, self.wT, out=out)
         if post is not None:
-            post(out.ctypes.data)
+            post(rows, out.ctypes.data)
         return out
 
 
@@ -250,17 +246,17 @@ class CodegenAddKernel(_CodegenKernel):
         self._bound: dict = {}
 
     def run(self, main: np.ndarray, shortcut: np.ndarray) -> np.ndarray:
-        n = main.shape[0]
-        bound = self._bound.get(n)
+        bound = self._bound.get(main.shape)
         if bound is None:
-            fn = self.program.for_batch(n)[(self.node.id, "main")]
+            fn = self.program.function((self.node.id, "main"))
             out = self.ctx.scratch(f"out{self.node.id}", main.shape)
             bound = (fn, out)
-            self._bound[n] = bound
+            self._bound[main.shape] = bound
         fn, out = bound
         main = self._contiguous(main, 0)
         shortcut = self._contiguous(shortcut, 1)
-        fn(main.ctypes.data, shortcut.ctypes.data, out.ctypes.data)
+        fn(main.size, main.ctypes.data, shortcut.ctypes.data,
+           out.ctypes.data)
         return out
 
 
@@ -272,23 +268,20 @@ class CodegenEltwiseKernel(_CodegenKernel):
         super().__init__(node, ctx, program)
         self.renderer = EltwiseRenderer(node, artifact)
         program.register(self.renderer)
-        # Per-request element count: recovers the graph batch size from
-        # the physical input even when merge_time folded the leading
-        # per-request dim into the batch axis.
-        self.request_size = int(np.prod(node.output_shape))
         self._bound: dict = {}
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        n = x.size // self.request_size
         bound = self._bound.get(x.shape)
         if bound is None:
-            fn = self.program.for_batch(n)[(self.node.id, "main")]
+            fn = self.program.function((self.node.id, "main"))
             out = self.ctx.scratch(f"out{self.node.id}", x.shape)
             bound = (fn, out)
             self._bound[x.shape] = bound
         fn, out = bound
         x = self._contiguous(x)
-        fn(x.ctypes.data, out.ctypes.data)
+        # Row count from the physical input, so merge_time folding the
+        # per-request time dim into the batch axis needs no special case.
+        fn(x.size // self.renderer.row_size, x.ctypes.data, out.ctypes.data)
         return out
 
 
@@ -305,14 +298,14 @@ class CodegenMaxPoolKernel(_CodegenKernel):
         n = x.shape[0]
         bound = self._bound.get(n)
         if bound is None:
-            fn = self.program.for_batch(n)[(self.node.id, "main")]
+            fn = self.program.function((self.node.id, "main"))
             out = self.ctx.scratch(f"out{self.node.id}",
                                    (n,) + self.node.output_shape)
             bound = (fn, out)
             self._bound[n] = bound
         fn, out = bound
         x = self._contiguous(x)
-        fn(x.ctypes.data, out.ctypes.data)
+        fn(n, x.ctypes.data, out.ctypes.data)
         return out
 
 
@@ -348,7 +341,7 @@ class CompiledBackend(KernelBackend):
         if kind == "conv":
             return CodegenConvKernel(node, graph, ctx, artifact, program)
         if kind == "linear":
-            return CodegenLinearKernel(node, graph, ctx, artifact, program)
+            return CodegenLinearKernel(node, ctx, artifact, program)
         if kind == "add":
             return CodegenAddKernel(node, ctx, program)
         if kind == "maxpool":
@@ -359,3 +352,10 @@ class CompiledBackend(KernelBackend):
         # serving correctly on the fused kernel (and the coverage table
         # should be fixed).
         return self._fused.compile_node(node, graph, artifact, ctx)
+
+    def finish_graph(self, ctx: ExecContext) -> None:
+        """Build the graph's one native library now, at load, so no
+        request ever waits on the compiler."""
+        program = getattr(ctx, "codegen_program", None)
+        if program is not None:
+            program.build()

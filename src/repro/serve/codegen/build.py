@@ -15,7 +15,9 @@ Three jobs, all deliberately boring:
   (ModelServer workers share one process), and the artifact lands via
   write-to-unique-temp + ``os.replace`` so concurrent *processes* racing
   on the same cache entry each publish an identical file atomically —
-  last writer wins, every reader sees a complete ``.so``.
+  last writer wins, every reader sees a complete ``.so``. The cache is
+  bounded: each fresh build evicts the oldest ``.so``/``.c`` pairs
+  beyond :data:`MAX_CACHED_LIBRARIES` (never the one just built).
 - **Administer** the cache (:func:`cached_libraries`,
   :func:`clear_cache`) for the ``repro serve backends`` CLI.
 
@@ -57,6 +59,12 @@ OPT_TIERS = (("-O3", "-march=native"), ("-O3",), ("-O2",))
 
 #: Kept for introspection/tests: the flags of the probed toolchain.
 CFLAGS = OPT_TIERS[0] + BASE_CFLAGS
+
+#: Most libraries the cache keeps. One library serves a whole graph at
+#: every batch size, so this is a count of distinct graphs/toolchains;
+#: evicting an entry another process still has mapped is harmless (the
+#: mapping outlives the file) and a later load rebuilds it.
+MAX_CACHED_LIBRARIES = 64
 
 _PROBE_SOURCE = "int repro_codegen_probe(void) { return 42; }\n"
 
@@ -227,13 +235,34 @@ def build_library(source: str, tag: str = "graph") -> Path:
                 f"compiler exited {proc.returncode}: {' '.join(command)}\n"
                 f"{tail}")
         os.replace(tmp_name, library)  # atomic publish
+        _evict(directory, keep=library)
     return library
+
+
+def _mtime(path: Path) -> float:
+    try:
+        return path.stat().st_mtime
+    except OSError:     # evicted by a concurrent process meanwhile
+        return 0.0
+
+
+def _evict(directory: Path, keep: Path) -> None:
+    """Delete the oldest ``.so``/``.c`` pairs beyond
+    :data:`MAX_CACHED_LIBRARIES`, never ``keep``."""
+    others = sorted((p for p in directory.glob("*.so") if p != keep),
+                    key=_mtime)
+    for library in others[:max(len(others) + 1 - MAX_CACHED_LIBRARIES, 0)]:
+        for path in (library, library.with_suffix(".c")):
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 def cached_libraries() -> List[Path]:
     """The ``.so`` files currently in the cache, oldest first."""
     directory = cache_dir()
-    return sorted(directory.glob("*.so"), key=lambda p: p.stat().st_mtime)
+    return sorted(directory.glob("*.so"), key=_mtime)
 
 
 def clear_cache() -> int:

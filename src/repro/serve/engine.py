@@ -237,7 +237,9 @@ class InferenceEngine:
 
         One forward per listed batch size goes straight to the plan, so
         first-request latency excludes the lazy oracle compile and scratch
-        allocation. Counters and the FPGA price cache are left untouched.
+        allocation (no native code is built here: the ``compiled``
+        backend built its one library at load). Counters and the FPGA
+        price cache are left untouched.
         """
         shape = self.plan.input_shape
         dtype = self.plan.input_dtype

@@ -63,6 +63,13 @@ def _stage_design(designs, index: int) -> Optional[GemmDesign]:
     return designs[index]
 
 
+def _fail_closed(requests: List[ServedRequest]) -> None:
+    error = ServingError("pipeline closed before the request was served")
+    for request in requests:
+        if request.future is not None and not request.future.done():
+            request.future._fail(error)
+
+
 class _StageBatch:
     """One micro-batch in flight through the stages."""
 
@@ -336,8 +343,14 @@ class PipelineEngine:
         if index + 1 < len(self._engines):
             batch.array = outputs
             with self._work:
-                self._queues[index + 1].append(batch)
-                self._work.notify_all()
+                running = self._running
+                if running:
+                    self._queues[index + 1].append(batch)
+                    self._work.notify_all()
+            if not running:
+                # close(drain=False) ran while this batch was inside the
+                # stage: no worker is left to take it further.
+                _fail_closed(batch.requests)
             return 0
         outputs = engine.plan.per_request_outputs(outputs, size)
         completed = self._clock()
@@ -416,10 +429,7 @@ class PipelineEngine:
                 while queue:
                     pending.extend(queue.popleft().requests)
             self._work.notify_all()
-        error = ServingError("pipeline closed before the request was served")
-        for request in pending:
-            if request.future is not None and not request.future.done():
-                request.future._fail(error)
+        _fail_closed(pending)
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []

@@ -488,7 +488,9 @@ class ModelServer:
             self._aliases[name] = target
 
     def warmup(self, name: str) -> None:
-        """Bind scratch + run per-size verification before real traffic."""
+        """Bind scratch and run the per-size oracle check before real
+        traffic. It builds nothing: a ``compiled`` model's native library
+        was built once, at load, for every batch size."""
         with self._work:
             entry = self._resolve_locked(name)
             while entry.busy:

@@ -124,6 +124,59 @@ class TestBackendParity:
         assert np.array_equal(a, a_copy)
 
 
+class TestOneLibraryPerGraph:
+    """The compiled backend builds one native library per graph, at load,
+    that takes the batch size at run time: serving any batch size or
+    stream shape afterwards builds nothing, while the runtime oracle
+    still checks each new size and stream shape once."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_zero_builds_after_load(self, family, family_artifacts,
+                                    monkeypatch, tmp_path):
+        _require("compiled")
+        from repro.serve.codegen import runtime
+
+        cache = tmp_path / "codegen"
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(cache))
+        builds = []
+        build = runtime.build_library
+
+        def counting_build(source, tag="graph"):
+            builds.append(tag)
+            return build(source, tag=tag)
+
+        monkeypatch.setattr(runtime, "build_library", counting_build)
+        _, artifact, sample = family_artifacts[family]
+        plan = ExecutionPlan(artifact, backend="compiled")
+        assert len(builds) == 1
+
+        compiled = plan.compiled
+        oracle = compiled.runtime_oracle_factory
+        oracle_runs = []
+
+        def counting_oracle():
+            oracle_runs.append(1)
+            return oracle()
+
+        compiled.runtime_oracle_factory = counting_oracle
+        sizes = range(1, 17)
+        unverified = set(sizes) - compiled._verified_sizes
+        rng = np.random.default_rng(17)
+        for n in sizes:
+            for _ in range(2):
+                plan.forward(sample(rng, n))
+        assert len(oracle_runs) == len(unverified)
+        if plan.streamable:
+            oracle_runs.clear()
+            for n in sizes:
+                for width in range(1, 5):
+                    for _ in range(2):
+                        plan.forward_stream(sample(rng, n)[:, :width], {})
+            assert len(oracle_runs) == 16 * 4
+        assert len(builds) == 1
+        assert len(list(cache.glob("*.so"))) == 1
+
+
 # ----------------------------------------------------------------------
 # Satellite numerics
 # ----------------------------------------------------------------------

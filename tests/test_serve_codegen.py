@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from ctypes import c_float as c_float_t
 from ctypes import c_void_p
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from repro.serve.codegen import (
     load_library,
     render_module,
 )
+from repro.serve.codegen import build
 from repro.serve.codegen.build import _reset_probe_cache
 from repro.serve.codegen.renderer import MODULE_PREAMBLE, ActQuantC
 from repro.serve.export import build_artifact, eager_forward
@@ -199,6 +201,43 @@ class TestBuildCache:
     def test_rejected_source_raises_compile_error(self, fresh_cache):
         with pytest.raises(CompileError, match="compiler exited"):
             build_library("this is not C\n", tag="t")
+
+    def _variant(self, index: int) -> str:
+        return self.SOURCE.replace("1.0f", f"{index + 1}.0f")
+
+    def test_cache_is_bounded_oldest_first(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(build, "MAX_CACHED_LIBRARIES", 3)
+        built = []
+        for index in range(5):
+            built.append(build_library(self._variant(index), tag="t"))
+            # Distinct mtimes, oldest first, whatever the clock grain.
+            os.utime(built[-1], (1000.0 + index, 1000.0 + index))
+        assert cached_libraries() == built[2:]
+        assert sorted(fresh_cache.glob("*.c")) == sorted(
+            path.with_suffix(".c") for path in built[2:])
+
+    def test_eviction_never_deletes_the_fresh_build(self, fresh_cache,
+                                                    monkeypatch):
+        monkeypatch.setattr(build, "MAX_CACHED_LIBRARIES", 1)
+        older = build_library(self._variant(0), tag="t")
+        # The older entry looks newer than anything built from now on.
+        os.utime(older, (4e9, 4e9))
+        fresh = build_library(self._variant(1), tag="t")
+        assert cached_libraries() == [fresh]
+
+    def test_load_rebuilds_a_library_evicted_by_another_process(
+            self, fresh_cache):
+        source = self.SOURCE.replace("repro_test_fn", "repro_evicted_fn")
+        library = build_library(source, tag="t")
+        library.unlink()
+        library.with_suffix(".c").unlink()
+        with pytest.raises(OSError):
+            load_library(library)
+        fn = load_library(library, source=source).repro_evicted_fn
+        fn.restype = c_float_t
+        fn.argtypes = [c_float_t]
+        assert fn(2.0) == 3.0
+        assert library.exists()
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ single-device plan's output *for the same micro-batch composition*
 is always computed on the exact batches the pipeline formed).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,24 @@ class ManualClock:
     def advance(self, seconds: float) -> "ManualClock":
         self.now += seconds
         return self
+
+
+class GatedStage:
+    """A stage engine whose ``infer`` signals entry, then blocks until
+    the test opens the gate; everything else delegates."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def infer(self, batch):
+        self.entered.set()
+        self.gate.wait(timeout=10.0)
+        return self._engine.infer(batch)
 
 
 def make_artifact(name, seed=0, batch=4):
@@ -147,6 +167,30 @@ class TestPipelineEngine:
         # Submitting into a closed pipeline fails the future too.
         late = engine.submit("mlp", np.zeros(12, dtype=np.float32))
         assert isinstance(late.exception(timeout=0), ServingError)
+
+    def test_close_without_drain_fails_the_batch_in_flight(
+            self, mlp_artifact):
+        """A batch inside a stage when ``close(drain=False)`` runs has no
+        worker left to take it further: its futures fail typed instead
+        of never resolving."""
+        engine = PipelineEngine.from_artifact(mlp_artifact, stages=2,
+                                              workers=1, max_batch=1)
+        stage = GatedStage(engine._engines[0])
+        engine._engines[0] = stage
+        future = engine.submit("mlp", np.zeros(12, dtype=np.float32))
+        assert stage.entered.wait(timeout=10.0)
+        closer = threading.Thread(target=engine.close,
+                                  kwargs={"drain": False})
+        closer.start()
+        with engine._work:
+            assert engine._work.wait_for(lambda: not engine._running,
+                                         timeout=10.0)
+        stage.gate.set()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        error = future.exception(timeout=10.0)
+        assert isinstance(error, ServingError)
+        assert "pipeline closed before the request was served" in str(error)
 
     def test_stats_are_stage_dimensioned(self, mlp_artifact):
         engine = PipelineEngine.from_artifact(mlp_artifact, stages=2,

@@ -24,6 +24,7 @@ import pytest
 from repro.errors import ServingError, SessionError
 from repro.serve import (
     ClusterRouter,
+    ExecutionPlan,
     FaultPlan,
     LocalWorker,
     ModelServer,
@@ -346,6 +347,36 @@ class TestChunkedBitExact:
                                       offline_output(plan, seqs[index]))
         finally:
             server.close()
+
+    @pytest.mark.parametrize("name", RNN_MODELS)
+    def test_compiled_linear_is_native_for_every_stream_shape(
+            self, artifacts, name):
+        """A merged-time graph's linear sees ``n * T`` rows, whatever the
+        exported sequence length: every streamed shape runs the native
+        kernels (the fused fallback is never built) and chunked ==
+        offline."""
+        _require("compiled")
+        from repro.serve.backends.compiled import CodegenLinearKernel
+
+        plan = ExecutionPlan.load(artifacts[name], backend="compiled")
+        linears = [kernel for kernel in plan.compiled.kernels.values()
+                   if isinstance(kernel, CodegenLinearKernel)]
+        assert linears
+        seqs = np.stack(sequences_for(plan, 16))
+        for n in range(1, 17):
+            for width in range(1, 5):
+                state, outs = {}, []
+                for start in (0, width):
+                    chunk = seqs[:n, start:start + width]
+                    out, state = plan.forward_stream(chunk, state)
+                    outs.append(plan.stream_outputs(out, n))
+                offline, _ = plan.forward_stream(seqs[:n, :2 * width], {})
+                assert np.array_equal(np.concatenate(outs, axis=1),
+                                      plan.stream_outputs(offline, n)), \
+                    (n, width)
+                assert any(n * width in kernel._bound
+                           for kernel in linears), (n, width)
+        assert all(kernel._fallback is None for kernel in linears)
 
     def test_states_portable_across_backends(self, artifacts):
         """Node ids are deterministic, so a state captured on one
