@@ -8,10 +8,11 @@ spell out, entirely through :mod:`repro.api`:
 2. quantize: ``calibrate()`` for the fast post-training path (``fit()``
    from examples/quickstart.py plugs in identically);
 3. deploy: ``deploy()`` freezes a packed-weight artifact — bit-exactness
-   verified at export — and wraps plan + engine + scheduler;
+   verified at export — and wraps plan + engine in a ``Deployment``;
 4. serve: compare per-request eager inference against micro-batched
-   serving, with the accelerator cycle model's simulated FPGA latency
-   reported alongside wall-clock.
+   serving (``Deployment.serve`` returns a ``ModelStats`` snapshot), with
+   the accelerator cycle model's simulated FPGA latency reported
+   alongside wall-clock.
 
 Run:  python examples/serving.py
 """
@@ -69,7 +70,7 @@ def main() -> None:
     print(f"[5] eager loop: {eager_rps:.0f} req/s | "
           f"batched serving: {stats.requests_per_second:.0f} req/s "
           f"({speedup:.1f}x)")
-    print("    " + stats.format().replace("\n", "\n    "))
+    print("    " + stats.format())
 
     # 5. Same artifact through the optimized kernel backend: the compile
     # pipeline verifies it bit-identical to the reference before serving.

@@ -18,7 +18,7 @@ The package is organised as a stack:
   integer kernels proving SP2 multiplies reduce to shifts and adds.
 - :mod:`repro.experiments` — one runnable harness per paper table/figure.
 - :mod:`repro.serve` — deployment: frozen artifacts, execution plans,
-  batched inference engine and scheduler (driven via ``repro.api``).
+  batched inference engine and model server (driven via ``repro.api``).
 """
 
 from repro.version import __version__

@@ -20,9 +20,8 @@ Stages and their return handles:
   Returns a :class:`QuantizedModel`.
 - :meth:`Pipeline.deploy` / :meth:`QuantizedModel.deploy` — freeze into a
   packed-weight artifact (bit-exactness verified at export), load it into
-  an execution plan, and wrap engine + scheduler in a :class:`Deployment`
-  whose ``predict`` replaces the old export_model/ExecutionPlan/
-  InferenceEngine dance.
+  an execution plan, and wrap it in an engine inside a :class:`Deployment`
+  whose ``predict``/``serve``/``server`` run it.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.export import build_artifact, eager_forward
 from repro.serve.plan import ExecutionPlan
 from repro.serve.ptq import post_training_quantize
-from repro.serve.scheduler import BatchScheduler, ServeStats
-from repro.serve.server import ModelServer
+from repro.serve.server import ModelServer, ModelStats
 
 
 def _batch_input(batch) -> Optional[np.ndarray]:
@@ -155,7 +153,7 @@ class QuantizedModel:
 
 
 class Deployment:
-    """A deployed model: artifact + execution plan + engine + scheduler.
+    """A deployed model: artifact + execution plan + engine.
 
     ``deployment.predict(x)`` serves a single request or an ``(N, ...)``
     batch (split into micro-batches of at most ``batch``); results are
@@ -213,12 +211,12 @@ class Deployment:
 
     def serve(self, payloads: Iterable[np.ndarray],
               max_wait_ms: Optional[float] = None,
-              clock=None) -> ServeStats:
+              clock=None) -> ModelStats:
         """Drain single-request payloads through the dynamic batcher.
 
-        Same micro-batching machinery as :class:`ModelServer`, driven
-        synchronously on the calling thread; the resulting ``ServeStats``
-        are bit-identical to the legacy ``BatchScheduler`` drain.
+        Hosts this deployment as ``"model"`` on a worker-less
+        :class:`ModelServer`, drains it on the calling thread and returns
+        that model's :class:`~repro.serve.server.ModelStats` snapshot.
         ``max_wait_ms`` overrides the deployment's batching deadline for
         this drain (irrelevant when all payloads are pre-queued, but kept
         symmetric with the server path); ``clock`` is injectable for
@@ -237,14 +235,13 @@ class Deployment:
                 raise future.exception()
             futures.append(future)
         server.drain()
-        # The legacy scheduler propagated batch-execution failures; so
-        # does this drain (the server records them per model, but a
-        # synchronous caller wants the exception).
+        # A synchronous caller wants batch-execution failures raised
+        # (the server only records them per model).
         for future in futures:
             error = future.exception(timeout=0)
             if error is not None:
                 raise error
-        stats = server.stats()["model"].to_serve_stats()
+        stats = server.stats()["model"]
         server.close()
         return stats
 
@@ -285,17 +282,6 @@ class Deployment:
                  for index in range(workers)]
         return ClusterRouter(fleet, placement, capacity=capacity,
                              **clock_kwargs)
-
-    def scheduler(self, **kwargs) -> BatchScheduler:
-        """Deprecated: a legacy synchronous scheduler over this engine."""
-        import warnings
-
-        warnings.warn(
-            "Deployment.scheduler is deprecated; use Deployment.serve, "
-            "or Deployment.server() / repro.serve.ModelServer for the "
-            "async API", DeprecationWarning, stacklevel=2)
-        kwargs.setdefault("max_batch", self.batch)
-        return BatchScheduler(self.engine, **kwargs)
 
     # ------------------------------------------------------------------
     def simulate(self, batch: Optional[int] = None, **sim_kwargs):

@@ -19,7 +19,7 @@ separate images — see gemm.py).
 **Latency unit convention: milliseconds.** Every simulated latency in this
 package is reported in ms — ``NetworkPerformance.latency_ms`` here, the
 ``fpga_ms``/``fpga_ms_total`` counters in :mod:`repro.serve.engine` /
-:mod:`repro.serve.scheduler` (which are plain sums of this module's
+:mod:`repro.serve.server` (which are plain sums of this module's
 ``latency_ms`` over served micro-batches), and the autotuner's
 ``latency_ms`` columns. A regression test
 (``tests/test_autotune.py::TestLatencyUnitConvention``) pins the served

@@ -208,7 +208,7 @@ def cmd_run(args) -> int:
     server.drain()
     for future in futures:
         future.result(timeout=0)
-    stats = server.stats()["model"].to_serve_stats()
+    stats = server.stats()["model"]
     server.close()
     print(f"served {args.requests} synthetic requests "
           f"(max_batch={args.batch})")

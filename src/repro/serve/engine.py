@@ -8,10 +8,9 @@ distinct batch size, not per request).
 
 This module also owns :class:`ThroughputStats`, the one shared mixin
 behind every stats dataclass in the serving stack (``EngineStats`` here,
-``ServeStats`` in :mod:`repro.serve.scheduler`, ``ModelStats`` in
-:mod:`repro.serve.server`): derived throughput/latency metrics are defined
-once, and ``merge()`` aggregates same-typed stats across models or
-workers.
+``ModelStats`` in :mod:`repro.serve.server`): derived throughput/latency
+metrics are defined once, and ``merge()`` aggregates same-typed stats
+across models or workers.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ class ThroughputStats:
     @property
     def latency_ms_p99(self) -> float:
         return self._percentile(99)
-
-    # Short spellings, matching the server/benchmark report columns.
-    p50_ms = latency_ms_p50
-    p95_ms = latency_ms_p95
-    p99_ms = latency_ms_p99
 
     # ------------------------------------------------------------------
     # Simulated FPGA

@@ -10,13 +10,11 @@ verified against the reference backend when they are compiled
 (:func:`repro.serve.backends.compile_graph`), so the bit-exactness chain
 eager == reference == every-backend holds end to end.
 
-The usual caller is :meth:`repro.api.QuantizedModel.deploy`; ``export_model``
-remains as a deprecation shim for the pre-``repro.api`` spelling.
+The usual caller is :meth:`repro.api.QuantizedModel.deploy`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 import numpy as np
@@ -98,22 +96,3 @@ def build_artifact(model: Module, sample_input: np.ndarray,
     if path is not None:
         artifact.save(path)
     return artifact
-
-
-def export_model(model: Module, sample_input: np.ndarray,
-                 layer_results: Optional[Dict[str, object]] = None,
-                 name: str = "model", path=None,
-                 verify: bool = True) -> ServeArtifact:
-    """Deprecated; use :meth:`repro.api.QuantizedModel.deploy` (or
-    :func:`build_artifact` for the bare export step).
-
-    Kept importable from its old home for one release; delegates to
-    :func:`build_artifact`, so artifacts stay bit-identical to the new API.
-    """
-    warnings.warn(
-        "repro.serve.export_model is deprecated; use "
-        "repro.api.Pipeline(...).deploy(...) or "
-        "repro.serve.export.build_artifact",
-        DeprecationWarning, stacklevel=2)
-    return build_artifact(model, sample_input, layer_results=layer_results,
-                          name=name, path=path, verify=verify)

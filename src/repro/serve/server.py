@@ -21,8 +21,7 @@ deadline (``max_wait_ms``) expires. Background workers claim ready batches
 — at most **one in-flight batch per model**, because a compiled plan's
 pooled scratch is reused across its own batches, while distinct models
 compile to distinct kernels/scratch and run concurrently — and execute
-them through :func:`repro.serve.scheduler.execute_batch`, resolving the
-futures.
+them through :func:`execute_batch`, resolving the futures.
 
 Lifecycle: ``load``/``add`` host a model, ``unload`` retires one (its
 queue is drained first), ``alias`` re-points a public name for versioned
@@ -64,7 +63,6 @@ from repro.serve.batcher import (
 from repro.serve.cache import InflightTable, ResponseCache
 from repro.serve.engine import InferenceEngine, ThroughputStats
 from repro.serve.futures import InferenceFuture
-from repro.serve.scheduler import ServeStats, execute_batch
 from repro.serve.streaming.batcher import StreamBatcher, StreamChunk
 from repro.serve.streaming.state import (
     fresh_state,
@@ -76,7 +74,47 @@ from repro.serve.streaming.state import (
 from repro.serve.streaming.store import SessionStore
 from repro.util.hashing import array_digest
 
-__all__ = ["ModelServer", "ModelStats"]
+__all__ = ["ModelServer", "ModelStats", "execute_batch"]
+
+
+def execute_batch(engine: InferenceEngine,
+                  batch: Sequence[ServedRequest],
+                  clock, batch_id: int) -> float:
+    """Serve one formed micro-batch in a single engine pass.
+
+    Fills every request record (result, completion time, batch id/size,
+    per-request FPGA share) and resolves attached futures. On an execution
+    failure every future in the batch is failed with the error before it
+    propagates. Returns the wall seconds spent serving.
+
+    Clock discipline: the batch size is priced on the cycle model
+    *before* the wall clock starts (a cost-model cache miss must not
+    count against serving latency), then exactly two clock reads bracket
+    the engine pass.
+    """
+    fpga_ms = engine.fpga_latency_ms(len(batch))
+    started = clock()
+    try:
+        outputs = engine.infer(np.stack([r.payload for r in batch]))
+    except Exception as error:
+        for request in batch:
+            request.error = error
+            if request.future is not None:
+                request.future._fail(error)
+        raise
+    completed = clock()
+    # Time-merged plans return (N*T, ...); re-view as (N, T, ...) so each
+    # request gets its whole output, not a single flattened row.
+    outputs = engine.plan.per_request_outputs(outputs, len(batch))
+    for index, request in enumerate(batch):
+        request.result = outputs[index]
+        request.completed_at = completed
+        request.batch_id = batch_id
+        request.batch_size = len(batch)
+        request.fpga_ms = fpga_ms / len(batch)
+        if request.future is not None:
+            request.future._resolve(outputs[index], request)
+    return completed - started
 
 
 @dataclass
@@ -120,14 +158,6 @@ class ModelStats(ThroughputStats):
         """Mean served batch size as a fraction of ``max_batch``."""
         return (self.mean_batch_size / self.max_batch
                 if self.max_batch else 0.0)
-
-    def to_serve_stats(self) -> ServeStats:
-        """The same numbers in the classic single-model ``ServeStats``."""
-        return ServeStats(
-            requests=self.requests, batches=self.batches,
-            wall_seconds=self.wall_seconds,
-            latencies_ms=list(self.latencies_ms),
-            fpga_ms_total=self.fpga_ms_total, backend=self.backend)
 
     def format(self) -> str:
         return (
@@ -237,8 +267,7 @@ class _HostedModel:
         self.serve_seconds = 0.0
         self.latencies_ms = deque(maxlen=stats_window)
         # Per-request FPGA shares, summed in served order at snapshot
-        # time — float-identical to the legacy scheduler's sum() over its
-        # served-request list while the window holds every request.
+        # time.
         self.fpga_shares = deque(maxlen=stats_window)
 
     def snapshot(self, cache_bytes: int = 0) -> ModelStats:
@@ -311,8 +340,8 @@ class ModelServer:
         self.stats_window = int(stats_window)
         self._clock = clock
         # Response cache + in-flight dedup are opt-in (cache_mb); with
-        # them off, the submit path is byte-for-byte the legacy one
-        # (same clock-call sequence, no payload digests).
+        # them off, the submit path computes no payload digests and
+        # keeps the plain batcher's clock-call sequence.
         self._cache: Optional[ResponseCache] = None
         self._inflight: Optional[InflightTable] = None
         if cache_mb:
@@ -846,8 +875,7 @@ class ModelServer:
         mid-batch is waited for (its queue cannot be claimed while busy),
         so no queued request is left behind; in-flight batches resolve
         their own futures. Never reads the clock outside the executor, so
-        drained stats are bit-identical to the legacy synchronous
-        scheduler's."""
+        drained stats depend only on the executor's clock reads."""
         total = 0
         while True:
             with self._work:

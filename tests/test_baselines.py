@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.quant.baselines import (
-    available_baselines,
-    get_baseline,
-    train_baseline,
-)
+from repro.api import get_method
+from repro.errors import ConfigurationError
+from repro.quant.baselines import available_baselines, train_baseline
 from repro.quant.baselines.dorefa import dorefa_weight_projection
 from repro.quant.baselines.dsq import dsq_hard, dsq_soft
 from repro.quant.baselines.eqm import eqm_projection
@@ -24,14 +22,14 @@ ALL_METHODS = ("dorefa", "pact", "dsq", "qil", "ul2q", "lq-nets", "lsq", "eqm")
 class TestRegistry:
     def test_all_names_resolve(self):
         for name in ALL_METHODS:
-            assert get_baseline(name) is not None
+            assert get_method(name).make() is not None
 
     def test_greek_mu_alias(self):
-        assert get_baseline("µL2Q").name == "µL2Q"
+        assert get_method("µL2Q").make().name == "µL2Q"
 
     def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_baseline("binaryconnect")
+        with pytest.raises(ConfigurationError):
+            get_method("binaryconnect")
 
     def test_available_list(self):
         assert "DoReFa" in available_baselines()
@@ -132,7 +130,7 @@ class TestTraining:
             xb, yb = batch
             return nn.cross_entropy(m(Tensor(xb)), yb)
 
-        method = get_baseline(name, weight_bits=4, act_bits=4)
+        method = get_method(name).make(weight_bits=4, act_bits=4)
         history = train_baseline(model, make_batches, loss_fn, method,
                                  epochs=6, lr=0.05)
         assert len(history) == 6
@@ -145,7 +143,7 @@ class TestTraining:
     def test_hooks_removed_after_finalize(self):
         x, y = make_toy_task(n=64, seed=3)
         model = make_mlp()
-        method = get_baseline("dsq")
+        method = get_method("dsq").make()
 
         def make_batches(epoch):
             yield x, y
@@ -162,14 +160,14 @@ class TestTraining:
 
     def test_pact_alpha_is_trainable_parameter(self):
         model = make_mlp()
-        method = get_baseline("pact")
+        method = get_method("pact").make()
         method.prepare(model)
         names = [name for name, _ in model.named_parameters()]
         assert any("pact_alpha" in name for name in names)
 
     def test_lsq_step_positive_after_finalize(self):
         model = make_mlp()
-        method = get_baseline("lsq")
+        method = get_method("lsq").make()
         method.prepare(model)
         steps = method.finalize(model)
         assert all(step > 0 for step in steps.values())

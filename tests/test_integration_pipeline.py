@@ -12,7 +12,7 @@ from repro import nn
 from repro.fpga import characterize_device, simulate_network
 from repro.fpga.bitexact import float_reference, mixed_gemm_bitexact
 from repro.fpga.gemm import GemmWorkload
-from repro.quant import QATConfig, Scheme, quantize_model, train_fp
+from repro.quant import QATConfig, Scheme, run_qat, train_fp
 from repro.quant.partition import to_gemm_matrix
 from repro.quant.quantizers import project_to_levels
 from repro.quant.schemes import fixed_point_levels, sp2_levels
@@ -43,7 +43,7 @@ def pipeline():
     config = QATConfig(scheme=Scheme.MSQ, weight_bits=4, act_bits=4,
                        ratio=f"{ratio.sp2:g}:{ratio.fixed:g}",
                        epochs=6, lr=0.05)
-    qat = quantize_model(model, make_batches, loss_fn, config)
+    qat = run_qat(model, make_batches, loss_fn, config)
     return {
         "characterization": characterization,
         "model": model,

@@ -9,7 +9,7 @@ from repro.quant import (
     QATConfig,
     Scheme,
     install_activation_quantizers,
-    quantize_model,
+    run_qat,
     train_fp,
     verify_on_levels,
 )
@@ -98,7 +98,7 @@ class TestSchemeVariants:
 
         config = QATConfig(scheme=scheme, weight_bits=4, act_bits=4,
                            epochs=3, lr=0.05)
-        result = quantize_model(model, make_batches, loss_fn, config)
+        result = run_qat(model, make_batches, loss_fn, config)
         for layer_result in result.layer_results.values():
             verify_on_levels(layer_result)
 
@@ -115,7 +115,7 @@ class TestSchemeVariants:
 
         config = QATConfig(scheme=Scheme.FIXED, epochs=2, lr=0.05,
                            quantize_activations=False)
-        result = quantize_model(model, make_batches, loss_fn, config)
+        result = run_qat(model, make_batches, loss_fn, config)
         assert result.act_quantizers == {}
 
 
@@ -133,7 +133,7 @@ class TestInterLayerMultiPrecision:
             xb, yb = batch
             return nn.cross_entropy(m(Tensor(xb)), yb)
 
-        return quantize_model(model, make_batches, loss_fn, config)
+        return run_qat(model, make_batches, loss_fn, config)
 
     def test_layer_bits_override(self, toy_task):
         config = QATConfig(scheme=Scheme.MSQ, weight_bits=4, epochs=2,

@@ -1,4 +1,4 @@
-"""The serving engine: artifact round trips, scheduler coalescing, CLI."""
+"""The serving engine: artifact round trips, batch coalescing, CLI."""
 
 import numpy as np
 import pytest
@@ -18,11 +18,10 @@ from repro.quant.partition import (
     partition_to_arrays,
 )
 from repro.serve import (
-    BatchScheduler,
     ExecutionPlan,
     InferenceEngine,
     ServeArtifact,
-    export_model,
+    build_artifact,
     post_training_quantize,
 )
 from repro.serve.cli import MODEL_ZOO, build_model
@@ -38,7 +37,7 @@ def quantized_plan(name, tmp_path, seed=0, n_check=4):
     results = post_training_quantize(model, calibration)
     batch = sample(rng, n_check)
     path = tmp_path / f"{name}.npz"
-    export_model(model, batch, layer_results=results, name=name, path=path)
+    build_artifact(model, batch, layer_results=results, name=name, path=path)
     return model, ExecutionPlan.load(path), batch
 
 
@@ -93,8 +92,8 @@ class TestArtifactRoundTrip:
         x, _ = toy_task
         batch = x[:16]
         path = tmp_path / "mlp.npz"
-        export_model(qat_result.model, batch,
-                     layer_results=qat_result.layer_results, path=path)
+        build_artifact(qat_result.model, batch,
+                       layer_results=qat_result.layer_results, path=path)
         plan = ExecutionPlan.load(path)
         assert np.array_equal(plan.forward(batch),
                               eager_forward(qat_result.model, batch))
@@ -103,7 +102,7 @@ class TestArtifactRoundTrip:
                                            tmp_path):
         x, _ = toy_task
         path = tmp_path / "fp.npz"
-        export_model(trained_mlp, x[:8], path=path)
+        build_artifact(trained_mlp, x[:8], path=path)
         plan = ExecutionPlan.load(path)
         assert np.array_equal(plan.forward(x[:8]),
                               eager_forward(trained_mlp, x[:8]))
@@ -123,7 +122,7 @@ class TestArtifactRoundTrip:
         results = post_training_quantize(model, calibration)
         batch = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
         path = tmp_path / "pool.npz"
-        export_model(model, batch, layer_results=results, path=path)
+        build_artifact(model, batch, layer_results=results, path=path)
         plan = ExecutionPlan.load(path)
         assert np.array_equal(plan.forward(batch),
                               eager_forward(model, batch))
@@ -195,9 +194,8 @@ class TestPlanSimulation:
 
 
 # ----------------------------------------------------------------------
-# Batch forming + execution (DynamicBatcher via the legacy facade's
-# internals; the async ModelServer surface is covered in
-# tests/test_serve_server.py)
+# Batch forming + execution through a worker-less ModelServer (the async
+# surface is covered in tests/test_serve_server.py)
 # ----------------------------------------------------------------------
 class FakeClock:
     def __init__(self):
@@ -272,12 +270,12 @@ class TestBatchServing:
             "model", rng.normal(size=(3, 16, 16)).astype(np.float32))
             for _ in range(4)]
         server.drain()
-        stats = server.stats()["model"].to_serve_stats()
+        stats = server.stats()["model"]
         assert all(f.latency_ms > 0 for f in futures)
         assert stats.latency_ms_mean > 0
         assert stats.fpga_ms_total == pytest.approx(
             engine.fpga_latency_ms(4))
-        assert "simulated FPGA" in stats.format()
+        assert "fpga" in stats.format()
 
     def test_rejects_batched_payload(self, tmp_path):
         _, server = self.make(tmp_path)
@@ -285,23 +283,6 @@ class TestBatchServing:
             "model", np.zeros((2, 3, 16, 16), dtype=np.float32))
         with pytest.raises(ConfigurationError):
             future.result(timeout=0)
-
-
-class TestLegacySchedulerFacade:
-    """The deprecated submit/step/run surface still works (and warns)."""
-
-    def test_warns_and_serves(self, tmp_path):
-        _, plan, batch = quantized_plan("resnet_tiny", tmp_path)
-        engine = InferenceEngine(plan)
-        scheduler = BatchScheduler(engine, max_batch=2, clock=FakeClock())
-        with pytest.warns(DeprecationWarning, match="BatchScheduler"):
-            requests = [scheduler.submit(payload) for payload in batch]
-            stats = scheduler.run()
-        assert stats.requests == len(batch)
-        assert all(r.done for r in requests)
-        assert scheduler.pending == 0
-        with pytest.warns(DeprecationWarning, match="BatchScheduler.step"):
-            assert scheduler.step() == []
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +298,7 @@ class TestServeCli:
                            "--batch", "3"]) == 0
         out = capsys.readouterr().out
         assert "quantized:    10 layers (msq)" in out
-        assert "req/s" in out and "simulated FPGA" in out
+        assert "req/s" in out and "fpga" in out
 
     def test_rnn_model_export_and_run(self, tmp_path, capsys):
         path = str(tmp_path / "lm.npz")
@@ -325,7 +306,7 @@ class TestServeCli:
                            "--out", path]) == 0
         assert serve_main(["run", path, "--requests", "4",
                            "--batch", "2"]) == 0
-        assert "micro-batches:       2" in capsys.readouterr().out
+        assert "in 2 batches" in capsys.readouterr().out
 
     def test_zoo_covers_paper_model_families(self):
         assert {"resnet_tiny", "mobilenet_v2", "lstm_lm",

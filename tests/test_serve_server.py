@@ -3,9 +3,7 @@ wire protocol.
 
 Everything here is deterministic: batch-deadline behavior is driven by a
 manual injectable clock (no sleeps anywhere), and the one threaded test
-only ever blocks on futures with generous timeouts. Run with
-``-W error::DeprecationWarning`` — the entire file goes through the new
-surface, so a warning means internal code regressed onto the legacy path.
+only ever blocks on futures with generous timeouts.
 """
 
 import io
@@ -20,7 +18,6 @@ from repro.serve import (
     DynamicBatcher,
     EngineStats,
     ModelServer,
-    ServeStats,
     coerce_payload,
     gather,
 )
@@ -463,6 +460,18 @@ class TickingClock:
         return self.now
 
 
+def model_stats(model="m", backend="reference", max_batch=4, requests=0,
+                batches=0, errors=0, wall_seconds=0.0, latencies_ms=(),
+                fpga_ms_total=0.0, queue_depth=0, in_flight=0):
+    """A hand-built ModelStats snapshot (unset counters are zero)."""
+    return ModelStats(model=model, backend=backend, max_batch=max_batch,
+                      requests=requests, batches=batches, errors=errors,
+                      wall_seconds=wall_seconds,
+                      latencies_ms=list(latencies_ms),
+                      fpga_ms_total=fpga_ms_total,
+                      queue_depth=queue_depth, in_flight=in_flight)
+
+
 class TestStats:
     def drained_stats(self, count=10, batch=4, clock=None):
         deployment, _ = make_deployment(batch=batch)
@@ -489,15 +498,14 @@ class TestStats:
         stats = self.drained_stats(count=20, batch=4, clock=TickingClock())
         assert 0 < stats.latency_ms_p50 <= stats.latency_ms_p95 \
             <= stats.latency_ms_p99
-        assert stats.p99_ms == stats.latency_ms_p99
 
-    def test_serve_stats_p99_and_merge(self):
-        first = ServeStats(requests=4, batches=2, wall_seconds=0.5,
-                           latencies_ms=[1.0, 2.0, 3.0, 4.0],
-                           fpga_ms_total=0.4, backend="fused")
-        second = ServeStats(requests=2, batches=1, wall_seconds=0.5,
-                            latencies_ms=[10.0, 20.0],
-                            fpga_ms_total=0.2, backend="fused")
+    def test_model_stats_p99_and_merge(self):
+        first = model_stats(requests=4, batches=2, wall_seconds=0.5,
+                            latencies_ms=[1.0, 2.0, 3.0, 4.0],
+                            fpga_ms_total=0.4, backend="fused")
+        second = model_stats(requests=2, batches=1, wall_seconds=0.5,
+                             latencies_ms=[10.0, 20.0],
+                             fpga_ms_total=0.2, backend="fused")
         merged = first.merge(second)
         assert merged.requests == 6 and merged.batches == 3
         assert merged.wall_seconds == pytest.approx(1.0)
@@ -505,9 +513,9 @@ class TestStats:
         assert merged.backend == "fused"
         assert merged.latency_ms_p99 == pytest.approx(
             float(np.percentile(merged.latencies_ms, 99)))
-        third = ServeStats(requests=1, batches=1, wall_seconds=0.1,
-                           latencies_ms=[5.0], fpga_ms_total=0.1,
-                           backend="reference")
+        third = model_stats(requests=1, batches=1, wall_seconds=0.1,
+                            latencies_ms=[5.0], fpga_ms_total=0.1,
+                            backend="reference")
         assert first.merge(second, third).backend == "mixed"
 
     def test_engine_stats_share_the_mixin(self):
@@ -552,10 +560,10 @@ class TestStats:
         server.close()
 
     def test_merge_rejects_mismatched_types(self):
-        serve = ServeStats(requests=1, batches=1, wall_seconds=0.1,
-                           latencies_ms=[1.0], fpga_ms_total=0.1)
+        stats = model_stats(requests=1, batches=1, wall_seconds=0.1,
+                            latencies_ms=[1.0], fpga_ms_total=0.1)
         with pytest.raises(ConfigurationError):
-            serve.merge(EngineStats())
+            stats.merge(EngineStats())
 
 
 class TestStatsMergeEdgeCases:
@@ -563,25 +571,12 @@ class TestStatsMergeEdgeCases:
     with empty snapshots, hand-computed aggregates, merge="max" fields,
     string collapse, windowed-list concatenation, wire round-trip."""
 
-    @staticmethod
-    def model_stats(model="m", backend="reference", max_batch=4,
-                    requests=0, batches=0, errors=0, wall_seconds=0.0,
-                    latencies_ms=(), fpga_ms_total=0.0, queue_depth=0,
-                    in_flight=0):
-        return ModelStats(model=model, backend=backend,
-                          max_batch=max_batch, requests=requests,
-                          batches=batches, errors=errors,
-                          wall_seconds=wall_seconds,
-                          latencies_ms=list(latencies_ms),
-                          fpga_ms_total=fpga_ms_total,
-                          queue_depth=queue_depth, in_flight=in_flight)
-
     def test_merge_with_empty_stats_is_identity(self):
         # An idle worker's snapshot must not perturb the aggregate.
-        busy = self.model_stats(requests=10, batches=3, wall_seconds=2.0,
+        busy = model_stats(requests=10, batches=3, wall_seconds=2.0,
                                 latencies_ms=[1.0, 2.0, 3.0],
                                 fpga_ms_total=0.5)
-        idle = self.model_stats()
+        idle = model_stats()
         merged = busy.merge(idle)
         assert merged.requests == 10 and merged.batches == 3
         assert merged.wall_seconds == pytest.approx(2.0)
@@ -590,7 +585,7 @@ class TestStatsMergeEdgeCases:
         assert merged.max_batch == 4
 
     def test_merge_of_two_empties_stays_zero_and_finite(self):
-        merged = self.model_stats().merge(self.model_stats())
+        merged = model_stats().merge(model_stats())
         assert merged.requests == 0 and merged.batches == 0
         # derived metrics must not divide by zero
         assert merged.mean_batch_size == 0.0
@@ -601,7 +596,7 @@ class TestStatsMergeEdgeCases:
         assert merged.mean_batch_fill == 0.0
 
     def test_merge_no_arguments_copies(self):
-        stats = self.model_stats(requests=3, batches=1,
+        stats = model_stats(requests=3, batches=1,
                                  latencies_ms=[1.0])
         merged = stats.merge()
         assert merged is not stats
@@ -614,16 +609,16 @@ class TestStatsMergeEdgeCases:
         # three workers with known numbers; check the merged snapshot
         # field by field against the arithmetic
         workers = [
-            self.model_stats(requests=6, batches=2, errors=1,
+            model_stats(requests=6, batches=2, errors=1,
                              wall_seconds=1.5,
                              latencies_ms=[1.0, 1.0, 2.0, 2.0, 3.0, 3.0],
                              fpga_ms_total=0.6, queue_depth=1,
                              in_flight=2),
-            self.model_stats(requests=4, batches=1, wall_seconds=0.5,
+            model_stats(requests=4, batches=1, wall_seconds=0.5,
                              latencies_ms=[10.0, 10.0, 10.0, 10.0],
                              fpga_ms_total=0.4, queue_depth=0,
                              in_flight=1),
-            self.model_stats(requests=2, batches=2, wall_seconds=2.0,
+            model_stats(requests=2, batches=2, wall_seconds=2.0,
                              latencies_ms=[5.0, 7.0], fpga_ms_total=1.0),
         ]
         merged = workers[0].merge(*workers[1:])
@@ -643,14 +638,14 @@ class TestStatsMergeEdgeCases:
             float(np.percentile(expected, 50)))
 
     def test_merge_max_field_takes_maximum_not_sum(self):
-        small = self.model_stats(max_batch=4, requests=1)
-        large = self.model_stats(max_batch=16, requests=1)
+        small = model_stats(max_batch=4, requests=1)
+        large = model_stats(max_batch=16, requests=1)
         assert small.merge(large).max_batch == 16
         assert large.merge(small).max_batch == 16     # either order
 
     def test_string_fields_collapse_to_mixed_independently(self):
-        a = self.model_stats(model="m", backend="reference")
-        b = self.model_stats(model="m", backend="fused")
+        a = model_stats(model="m", backend="reference")
+        b = model_stats(model="m", backend="fused")
         merged = a.merge(b)
         assert merged.model == "m"              # equal strings survive
         assert merged.backend == "mixed"        # unequal ones collapse
@@ -678,7 +673,7 @@ class TestStatsMergeEdgeCases:
     def test_wire_round_trip_preserves_merge_semantics(self):
         # to_wire -> JSON -> from_wire must yield a snapshot that merges
         # identically to the original (the cluster stats path).
-        local = self.model_stats(requests=5, batches=2, wall_seconds=1.0,
+        local = model_stats(requests=5, batches=2, wall_seconds=1.0,
                                  latencies_ms=[1.0, 2.0, 3.0, 4.0, 5.0],
                                  fpga_ms_total=0.5, max_batch=8)
         remote = ModelStats.from_wire(
@@ -691,8 +686,8 @@ class TestStatsMergeEdgeCases:
     def test_stage_field_equal_survives_unequal_collapses(self):
         # Same pipeline stage merges cleanly (replicated stage workers);
         # different stages collapse to "mixed" like any string field.
-        a = self.model_stats(requests=1)
-        b = self.model_stats(requests=2)
+        a = model_stats(requests=1)
+        b = model_stats(requests=2)
         a.stage, b.stage = "1/2", "1/2"
         merged = a.merge(b)
         assert merged.stage == "1/2" and merged.requests == 3
@@ -700,14 +695,14 @@ class TestStatsMergeEdgeCases:
         assert a.merge(b).stage == "mixed"
 
     def test_stage_default_is_empty_and_absent_from_format(self):
-        stats = self.model_stats(requests=1)
+        stats = model_stats(requests=1)
         assert stats.stage == ""
         assert "stage" not in stats.format()
         stats.stage = "2/3"
         assert "stage 2/3" in stats.format()
 
     def test_stage_field_survives_wire_round_trip(self):
-        local = self.model_stats(requests=5, batches=2,
+        local = model_stats(requests=5, batches=2,
                                  latencies_ms=[1.0, 2.0])
         local.stage = "1/2"
         remote = ModelStats.from_wire(
@@ -760,14 +755,13 @@ class TestDeploymentIntegration:
         payloads = payload_stream(10, seed=13)
         served = deployment.serve(payloads, clock=ManualClock())
         server = ModelServer(workers=0, clock=ManualClock())
-        server.add("again", deployment)
-        server.submit_many("again", payloads)
+        server.add("model", deployment)           # serve()'s host name
+        server.submit_many("model", payloads)
         server.drain()
-        manual = server.stats()["again"].to_serve_stats()
+        manual = server.stats()["model"]
         server.close()
-        assert served.requests == manual.requests == 10
-        assert served.batches == manual.batches == 3
-        assert served.latencies_ms == manual.latencies_ms
+        assert served.requests == 10 and served.batches == 3
+        assert served == manual                   # the whole snapshot
 
 
 class TestServeProtocol:
