@@ -71,6 +71,13 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_method("alexnet")
 
+    def test_method_make_builds_registered_class(self):
+        # get_method(name).make(**kw) is the one way to build a baseline.
+        entry = get_method("lq_nets")
+        method = entry.make(weight_bits=4, act_bits=4)
+        assert type(method) is entry.cls
+        assert method.weight_bits == 4
+
     def test_scheme_factories_build_quantizers(self):
         assert isinstance(get_scheme("sp2").make(4), SchemeQuantizer)
         msq = get_scheme("msq").make(4, ratio="2:1")
@@ -395,6 +402,47 @@ class TestDeployment:
         assert stats.batches == 3
         assert deployment.stats.requests == 10
 
+    def test_serve_snapshot_reproducible_under_injected_clock(self):
+        # With the clock injected, two drains of the same payloads give
+        # the same ModelStats snapshot field for field.
+        class FakeClock:
+            def __init__(self):
+                self.now = 0.0
+
+            def __call__(self):
+                self.now += 0.001
+                return self.now
+
+        rng = np.random.default_rng(4)
+        pipeline = Pipeline(PipelineConfig(batch=4), model=make_mlp())
+        pipeline.calibrate([rng.normal(size=(8, 12)).astype(np.float32)])
+        deployment = pipeline.deploy()
+        payloads = [rng.normal(size=(12,)).astype(np.float32)
+                    for _ in range(10)]
+        first = deployment.serve(payloads, clock=FakeClock())
+        second = deployment.serve(payloads, clock=FakeClock())
+        assert first == second
+        assert first.requests == 10 and first.batches == 3
+        assert len(first.latencies_ms) == 10
+
+    def test_build_artifact_save_load_round_trip(self, tmp_path):
+        from repro.serve import ServeArtifact, build_artifact
+
+        rng = np.random.default_rng(2)
+        model = make_mlp()
+        quantized = Pipeline(PipelineConfig(), model=model).calibrate(
+            [rng.normal(size=(4, 12)).astype(np.float32)])
+        sample = rng.normal(size=(4, 12)).astype(np.float32)
+        path = tmp_path / "mlp.npz"
+        built = build_artifact(model, sample,
+                               layer_results=quantized.layer_results,
+                               path=path)
+        loaded = ServeArtifact.load(path)
+        assert loaded.manifest == built.manifest
+        assert sorted(loaded.arrays) == sorted(built.arrays)
+        for key in built.arrays:
+            assert np.array_equal(loaded.arrays[key], built.arrays[key]), key
+
     def test_large_batch_predict_chunks(self):
         rng = np.random.default_rng(1)
         pipeline = Pipeline(PipelineConfig(batch=4), model=make_mlp())
@@ -421,6 +469,39 @@ class TestDeployment:
         pipeline.calibrate([rng.normal(size=(4, 12)).astype(np.float32)])
         with pytest.raises(ConfigurationError):
             pipeline.deploy()
+
+
+# ----------------------------------------------------------------------
+# The legacy surface stays removed and tier-1 stays warning-free
+# ----------------------------------------------------------------------
+class TestLegacySurfaceRemoved:
+    def test_removed_names_are_gone(self):
+        import importlib
+
+        import repro.quant
+        import repro.quant.baselines
+        import repro.serve
+        import repro.serve.server
+
+        for module, name in ((repro.quant, "quantize_model"),
+                             (repro.quant.baselines, "get_baseline"),
+                             (repro.serve, "export_model"),
+                             (repro.serve, "BatchScheduler"),
+                             (repro.serve, "ServeStats"),
+                             (repro.serve.server.ModelStats,
+                              "to_serve_stats"),
+                             (Deployment, "scheduler")):
+            assert not hasattr(module, name), name
+            assert name not in getattr(module, "__all__", ()), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.scheduler")
+
+    def test_deprecation_warning_fails_the_suite(self):
+        # The root pytest.ini turns DeprecationWarning into an error.
+        import warnings
+
+        with pytest.raises(DeprecationWarning):
+            warnings.warn("legacy path", DeprecationWarning)
 
 
 # ----------------------------------------------------------------------

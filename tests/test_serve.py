@@ -277,6 +277,20 @@ class TestBatchServing:
             engine.fpga_latency_ms(4))
         assert "fpga" in stats.format()
 
+    def test_drain_serves_all_and_leaves_nothing_pending(self, tmp_path):
+        _, server = self.make(tmp_path, max_batch=2)
+        rng = np.random.default_rng(4)
+        batch = [rng.normal(size=(3, 16, 16)).astype(np.float32)
+                 for _ in range(5)]
+        futures = server.submit_many("model", batch)
+        assert server.drain() == len(batch)
+        assert all(f.done() for f in futures)
+        stats = server.stats()["model"]
+        assert stats.requests == len(batch)
+        assert stats.queue_depth == 0 and stats.in_flight == 0
+        assert server.drain() == 0
+        assert server.stats()["model"].requests == len(batch)
+
     def test_rejects_batched_payload(self, tmp_path):
         _, server = self.make(tmp_path)
         future = server.submit(
